@@ -97,9 +97,9 @@ fn bench_molecular_access() {
 }
 
 fn bench_molecular_access_batched() {
-    // The batched entry point the parallel experiment engine drives:
-    // same requests as `molecular_access`, one `access_batch` call per
-    // iteration instead of a per-request dispatch loop.
+    // The `CacheModel::access_batch` API path (the trait's default
+    // per-request loop): same requests as `molecular_access`, one
+    // `access_batch` call per iteration.
     section("molecular_access_batched");
     let reqs = trace(BATCH);
     let config = MolecularConfig::builder()

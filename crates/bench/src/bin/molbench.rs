@@ -31,7 +31,7 @@ use molcache_bench::harness::{molecular_cache, run_workload_on, Engine};
 use molcache_bench::machine::MachineInfo;
 use molcache_bench::report::{
     compare, floor_check, regressions, render_comparison, scale_fairness_warning, today_utc,
-    BenchDoc, StageProfileRecord, WorkloadResult, REGRESSION_TOLERANCE,
+    write_new_record, BenchDoc, StageProfileRecord, WorkloadResult, REGRESSION_TOLERANCE,
 };
 use molcache_bench::stopwatch::{machine_line, measure, measure_paired, section, Timing};
 use molcache_bench::workloads::{
@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 /// for `--compare` to match them up).
 const SWEEP_JOBS: usize = 4;
 
-/// Chunk size of the `access_batch` workload — matches the batched
-/// driver in `molcache_sim::cmp`.
+/// Chunk size of the `access_batch` workload (unchanged since the row
+/// was first recorded, so records stay comparable).
 const BATCH_CHUNK: usize = 1024;
 
 use molcache_bench::workloads::SERVE_TENANTS;
@@ -105,7 +105,8 @@ fn usage() -> ! {
          \u{20} --out           directory for BENCH_<date>.json (default results)\n\
          \u{20} --out-file      record file name inside the out dir (default\n\
          \u{20}                 BENCH_<date>.json; use to keep several same-day\n\
-         \u{20}                 records apart, e.g. BENCH_<date>-memo-off.json)\n\
+         \u{20}                 records apart, e.g. BENCH_<date>-memo-off.json;\n\
+         \u{20}                 an existing record is never overwritten)\n\
          \u{20} --no-write      skip writing the BENCH_<date>.json record\n\
          \u{20} --no-memo       disable the memoization front-end for the run\n\
          \u{20}                 (measures the raw staged pipeline)\n\
@@ -258,8 +259,7 @@ fn memo_line(cache: &MolecularCache) -> String {
             s.stale,
             s.generation_bumps,
         ),
-        Some(_) => "  memo: disabled (--no-memo)".into(),
-        None => "  memo: not compiled in (built without the memo-front feature)".into(),
+        _ => "  memo: disabled (--no-memo)".into(),
     }
 }
 
@@ -470,7 +470,7 @@ fn main() {
     let doc = BenchDoc {
         date: today_utc(),
         smoke: args.smoke,
-        memo: Some(cfg!(feature = "memo-front") && args.memo),
+        memo: Some(args.memo),
         machine,
         workloads,
         stage_profile,
@@ -498,9 +498,20 @@ fn main() {
             eprintln!("molbench: cannot create {}: {e}", args.out_dir);
             std::process::exit(1);
         }
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("molbench: cannot write {}: {e}", path.display());
-            std::process::exit(1);
+        match write_new_record(&path, &(json + "\n")) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                eprintln!(
+                    "molbench: {} already exists; not overwriting it (pass \
+                     --out-file NAME to keep same-day records apart)",
+                    path.display()
+                );
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("molbench: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
         println!("\nwrote {}", path.display());
     }

@@ -78,7 +78,7 @@ fn usage() -> ! {
          \u{20}           that stage cycles sum to the total access latency\n\
          \u{20} --memo    print the memoization front-end's effectiveness\n\
          \u{20}           (hits, lookups, hit rate, stale entries, generation\n\
-         \u{20}           bumps; needs a build with the memo-front feature)\n\
+         \u{20}           bumps)\n\
          \u{20} --json    print the merged time-series as JSON on stdout\n\
          \u{20} --serve FILE  render a molserve replay record (molcache-serve-v1\n\
          \u{20}           JSON from `molserve --json`) and exit: per-tenant\n\
@@ -153,23 +153,15 @@ struct RunResult {
     /// Sampled host-time stage split — `Some` only in builds with the
     /// `stage-profiler` feature, rendered as `-` otherwise.
     wall_profile: Option<StageWallProfile>,
-    /// Memo front-end counters — `Some` only in builds with the
-    /// `memo-front` feature.
-    memo: Option<MemoStats>,
+    /// Memo front-end counters.
+    memo: MemoStats,
 }
 
 /// Renders the memo front-end's effectiveness for one run.
 /// `epoch_memo_hits` is the per-epoch hit series carried (JSON-excluded)
 /// on the recorder's epoch samples.
 fn report_memo(run: &RunResult, epoch_memo_hits: &[u64]) {
-    let Some(s) = run.memo else {
-        println!(
-            "memo front-end ({}): not compiled in (build with the \
-             memo-front feature)",
-            run.policy
-        );
-        return;
-    };
+    let s = run.memo;
     println!("memo front-end ({}):", run.policy);
     if !s.enabled {
         println!("  disabled at runtime");
@@ -372,7 +364,7 @@ fn main() {
                 activity: cache.activity(),
                 wall_ns,
                 wall_profile: cache.stage_wall_profile(),
-                memo: cache.memo_stats(),
+                memo: cache.memo_stats().unwrap_or_default(),
             }
         },
     );

@@ -15,6 +15,28 @@ use molcache_bench::experiments::{ablations, fig5, fig6, table1, table2, table4,
 use molcache_bench::{Engine, ExperimentScale};
 use std::io::Write as _;
 
+/// Every target `repro` accepts; `all` selects the rest.
+const TARGETS: [&str; 8] = [
+    "table1",
+    "fig5",
+    "table2",
+    "table4",
+    "fig6",
+    "table5",
+    "ablations",
+    "all",
+];
+
+/// Prints the usage line plus `problem` and exits with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    eprintln!(
+        "usage: repro [{}] [--scale smoke|quick|paper] [--refs N] [--json DIR] [--jobs N]",
+        TARGETS.join("|")
+    );
+    std::process::exit(2);
+}
+
 struct Options {
     targets: Vec<String>,
     scale: ExperimentScale,
@@ -64,8 +86,13 @@ fn parse_args() -> Options {
                     }
                 }
             }
-            "--json" => opts.json_dir = args.next(),
-            other => opts.targets.push(other.to_string()),
+            "--json" => match args.next() {
+                Some(dir) => opts.json_dir = Some(dir),
+                None => usage("--json expects a directory"),
+            },
+            flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
+            target if TARGETS.contains(&target) => opts.targets.push(target.to_string()),
+            other => usage(&format!("unknown target `{other}`")),
         }
     }
     if opts.targets.is_empty() {

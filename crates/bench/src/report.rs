@@ -454,6 +454,19 @@ pub fn render_comparison(deltas: &[WorkloadDelta], tolerance: f64) -> String {
     out
 }
 
+/// Writes a record to `path`, refusing to replace an existing file: a
+/// checked-in record is evidence, and a second run on the same day must
+/// pick another name rather than silently overwrite the first. Fails
+/// with [`std::io::ErrorKind::AlreadyExists`] when `path` exists.
+pub fn write_new_record(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(path)?
+        .write_all(text.as_bytes())
+}
+
 /// Today's UTC date as `YYYY-MM-DD` (the workspace builds without
 /// chrono, so the civil-date conversion is hand-rolled).
 pub fn today_utc() -> String {

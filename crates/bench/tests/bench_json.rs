@@ -3,8 +3,8 @@
 
 use molcache_bench::machine::MachineInfo;
 use molcache_bench::report::{
-    compare, floor_check, regressions, render_comparison, scale_fairness_warning, BenchDoc,
-    StageProfileRecord, WorkloadResult, BENCH_SCHEMA, REGRESSION_TOLERANCE,
+    compare, floor_check, regressions, render_comparison, scale_fairness_warning, write_new_record,
+    BenchDoc, StageProfileRecord, WorkloadResult, BENCH_SCHEMA, REGRESSION_TOLERANCE,
 };
 use molcache_bench::stopwatch::Timing;
 
@@ -216,6 +216,27 @@ fn scale_fairness_warning_fires_only_across_scales() {
     let w = scale_fairness_warning(&smoke, &full).expect("either direction warns");
     assert!(w.contains("full run"), "{w}");
     assert!(w.contains("smoke baseline"), "{w}");
+}
+
+/// A record is written once: a second write to the same path fails with
+/// `AlreadyExists` and leaves the first record byte-identical.
+#[test]
+fn records_are_never_overwritten() {
+    let dir = std::env::temp_dir().join(format!("molbench-once-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("BENCH_2026-08-08.json");
+    std::fs::remove_file(&path).ok();
+
+    let first = doc_with(vec![]).to_json().unwrap();
+    write_new_record(&path, &first).unwrap();
+    let mut second = doc_with(vec![]);
+    second.smoke = true;
+    let err = write_new_record(&path, &second.to_json().unwrap()).unwrap_err();
+    let on_disk = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert_eq!(on_disk, first, "the first record must survive untouched");
 }
 
 /// End-to-end routing check for the scale-fairness warning: it must land

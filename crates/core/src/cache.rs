@@ -19,9 +19,7 @@ use crate::region_table::RegionTable;
 use crate::stats::RegionSnapshot;
 use crate::tags::{GateMask, TagStore};
 use crate::tile::{Tile, TileCluster};
-use molcache_sim::{
-    AccessOutcome, Activity, BatchOutcome, CacheModel, CacheStats, Request, StageBreakdown,
-};
+use molcache_sim::{AccessOutcome, Activity, CacheModel, CacheStats, Request, StageBreakdown};
 use molcache_telemetry::SinkHandle;
 use molcache_trace::rng::Rng;
 use molcache_trace::Asid;
@@ -76,13 +74,10 @@ pub struct MolecularCache {
     /// default builds carry no sampler state at all).
     #[cfg(feature = "stage-profiler")]
     pub(crate) sampler: crate::profiler::StageSampler,
-    /// Way/molecule memoization front-end (only with the `memo-front`
-    /// feature; see [`crate::pipeline::memo`]).
-    #[cfg(feature = "memo-front")]
+    /// Way/molecule memoization front-end (see [`crate::pipeline::memo`]).
     pub(crate) memo: crate::pipeline::memo::MemoTable,
     /// Memo hits at the last epoch close, so epoch samples carry the
     /// per-epoch delta.
-    #[cfg(feature = "memo-front")]
     pub(crate) epoch_memo_base: u64,
 }
 
@@ -145,9 +140,7 @@ impl MolecularCache {
             search_cache_enabled: true,
             #[cfg(feature = "stage-profiler")]
             sampler: crate::profiler::StageSampler::default(),
-            #[cfg(feature = "memo-front")]
             memo: crate::pipeline::memo::MemoTable::default(),
-            #[cfg(feature = "memo-front")]
             epoch_memo_base: 0,
         }
     }
@@ -171,7 +164,6 @@ impl MolecularCache {
     #[inline]
     pub(crate) fn note_structural_change(&mut self) {
         self.structure_generation += 1;
-        #[cfg(feature = "memo-front")]
         self.memo.bump_generation();
     }
 
@@ -416,37 +408,6 @@ impl CacheModel for MolecularCache {
         outcome
     }
 
-    /// Batched entry point: one ASID-gate dispatch (region-presence check
-    /// and on-demand creation) per run of same-ASID requests instead of
-    /// one per request.
-    ///
-    /// Bit-identical to the per-request loop: `ensure_region` is
-    /// idempotent, so hoisting it across a same-ASID run changes nothing,
-    /// and the per-access resize trigger still fires between every two
-    /// requests exactly as in [`access`](CacheModel::access). Region
-    /// creation order therefore interleaves with resize events precisely
-    /// as the serial loop would have it.
-    fn access_batch(&mut self, reqs: &[Request]) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        let mut i = 0;
-        while i < reqs.len() {
-            let asid = reqs[i].asid;
-            self.ensure_region(asid);
-            while i < reqs.len() && reqs[i].asid == asid {
-                self.activity.accesses += 1;
-                out.note(self.service(reqs[i]));
-                match self.resize_policy.on_access(asid) {
-                    ResizeEvent::None => {}
-                    ResizeEvent::AllPartitions => self.resize_all(),
-                    ResizeEvent::Partition(a) => self.resize_one(a),
-                }
-                self.maybe_close_epoch();
-                i += 1;
-            }
-        }
-        out
-    }
-
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -464,11 +425,8 @@ impl CacheModel for MolecularCache {
         self.epoch_activity_base = Activity::default();
         // Memo lifetime counters restart too; the memo's entries survive
         // like cache contents do (a stats reset is not a flush).
-        #[cfg(feature = "memo-front")]
-        {
-            self.memo.reset_counters();
-            self.epoch_memo_base = 0;
-        }
+        self.memo.reset_counters();
+        self.epoch_memo_base = 0;
     }
 
     fn describe(&self) -> String {
@@ -533,7 +491,6 @@ impl MolecularCache {
         // the gate/lookup counters the full pipeline would emit and
         // skips stages 1–3 entirely (see `pipeline::memo` for why the
         // replay is exact). Falls through on any doubt.
-        #[cfg(feature = "memo-front")]
         if self.memo.enabled {
             if let Some((mol, gate_count)) = self.memo.lookup(asid, line) {
                 let verified = timed_stage!(self, sampled, 1, self.tags.probe(mol, line, is_write));
@@ -571,7 +528,6 @@ impl MolecularCache {
             1,
             self.probe_gated(line, is_write, &mut stages.home_lookup)
         ) {
-            #[cfg(feature = "memo-front")]
             self.memo_note_home_hit(asid, line, hit_mol);
             return self.finish_hit(asid, hit_mol, latency, stages);
         }

@@ -750,7 +750,7 @@ fn stage_cycle_attribution_matches_config() {
     assert_eq!(s.fill.frames_touched, 0);
 }
 
-// ---- memoization front-end (`memo-front`) ------------------------------
+// ---- memoization front-end -----------------------------------------------
 
 /// A workload that exercises every memo-relevant path: three apps with
 /// overlapping strides and writes (hits, conflict evictions, stale memo
@@ -835,25 +835,24 @@ fn memo_front_is_observationally_free() {
     assert_eq!(json_on, json_off, "telemetry JSON must be byte-identical");
     assert_eq!(on.find_duplicate_line(), None);
 
-    // With the feature compiled in, the enabled run must actually have
-    // used the memo — otherwise this test proves nothing. The epoch
-    // samples carry the (JSON-excluded) per-epoch memo-hit diagnostic.
+    // The enabled run must actually have used the memo — otherwise this
+    // test proves nothing. The epoch samples carry the (JSON-excluded)
+    // per-epoch memo-hit diagnostic.
     assert_eq!(epoch_hits_off, 0, "disabled run must report no memo hits");
-    if let Some(stats) = on.memo_stats() {
-        assert!(stats.hits > 0, "memo never hit on a hit-heavy workload");
-        assert!(
-            stats.generation_bumps > 0,
-            "resizes must bump the generation"
-        );
-        assert!(
-            epoch_hits_on <= stats.hits,
-            "epoch memo-hit deltas must never exceed the lifetime count"
-        );
-        assert!(
-            epoch_hits_on > 0,
-            "epoch samples must surface memo hits when the memo is hitting"
-        );
-    }
+    let stats = on.memo_stats().unwrap();
+    assert!(stats.hits > 0, "memo never hit on a hit-heavy workload");
+    assert!(
+        stats.generation_bumps > 0,
+        "resizes must bump the generation"
+    );
+    assert!(
+        epoch_hits_on <= stats.hits,
+        "epoch memo-hit deltas must never exceed the lifetime count"
+    );
+    assert!(
+        epoch_hits_on > 0,
+        "epoch samples must surface memo hits when the memo is hitting"
+    );
 }
 
 /// Batched and per-request entry points stay bit-identical with the
@@ -877,7 +876,6 @@ fn memo_front_keeps_batch_bit_identical() {
     assert_eq!(serial.snapshots(), batched.snapshots());
 }
 
-#[cfg(feature = "memo-front")]
 #[test]
 fn memo_structural_events_invalidate_entries() {
     let mut c = MolecularCache::new(small_config());
@@ -919,11 +917,10 @@ fn memo_structural_events_invalidate_entries() {
     assert!(!c.memo_would_hit(Asid::new(2), line_of(0x200)));
 }
 
-#[cfg(feature = "memo-front")]
 #[test]
 fn memo_toggle_and_stats_surface() {
     let mut c = MolecularCache::new(small_config());
-    assert!(c.memo_front_enabled(), "memo-front defaults to enabled");
+    assert!(c.memo_front_enabled(), "the memo defaults to enabled");
     c.access(read(1, 0x40));
     c.access(read(1, 0x40));
     c.access(read(1, 0x40));
@@ -948,14 +945,4 @@ fn memo_toggle_and_stats_surface() {
     c.reset_stats();
     let s = c.memo_stats().unwrap();
     assert_eq!((s.hits, s.misses, s.stale), (0, 0, 0));
-}
-
-#[cfg(not(feature = "memo-front"))]
-#[test]
-fn memo_api_is_inert_without_the_feature() {
-    let mut c = MolecularCache::new(small_config());
-    assert!(!c.memo_front_enabled());
-    assert_eq!(c.memo_stats(), None);
-    c.set_memo_front(true); // no-op, must not panic
-    assert!(!c.memo_front_enabled());
 }

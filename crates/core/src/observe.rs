@@ -62,10 +62,7 @@ impl MolecularCache {
         // Memo hits are a diagnostic side-channel: carried on the sample
         // but excluded from the canonical JSON export (which must be
         // byte-identical memo-on vs memo-off).
-        #[cfg(feature = "memo-front")]
         let memo_hits = self.memo.hits() - self.epoch_memo_base;
-        #[cfg(not(feature = "memo-front"))]
-        let memo_hits = 0;
         let activity = EpochActivity {
             epoch,
             accesses: self.activity.accesses - base.accesses,
@@ -85,10 +82,7 @@ impl MolecularCache {
         self.epoch_index += 1;
         self.epoch_stats_base = self.stats.clone();
         self.epoch_activity_base = self.activity;
-        #[cfg(feature = "memo-front")]
-        {
-            self.epoch_memo_base = self.memo.hits();
-        }
+        self.epoch_memo_base = self.memo.hits();
     }
 
     /// Publishes one applied resize decision, tagged with the policy

@@ -1,4 +1,4 @@
-//! Stage 0 — the way/molecule memoization front-end (`memo-front`).
+//! Stage 0 — the way/molecule memoization front-end.
 //!
 //! The paper's access path pays an ASID gate over the whole home tile
 //! plus a tag probe per gated molecule on *every* reference. Way
@@ -54,8 +54,7 @@ pub const MEMO_SLOTS: usize = 509;
 /// Lifetime counters of the memoization front-end, for `molstat --memo`
 /// and molbench's memo-hit-rate report.
 ///
-/// Produced by `MolecularCache::memo_stats` when the crate is built with
-/// the `memo-front` feature (`None` otherwise). These counters are
+/// Produced by `MolecularCache::memo_stats`. These counters are
 /// diagnostics only: they are deliberately kept out of the canonical
 /// telemetry JSON export, which must stay byte-identical with the
 /// front-end on or off.
@@ -101,7 +100,6 @@ impl MemoStats {
 ///
 /// `generation == 0` marks a never-written slot: the table's counter
 /// starts at 1 and only grows, so no live entry can carry 0.
-#[cfg(feature = "memo-front")]
 #[derive(Debug, Clone, Copy)]
 struct MemoEntry {
     asid: u16,
@@ -114,7 +112,6 @@ struct MemoEntry {
     generation: u64,
 }
 
-#[cfg(feature = "memo-front")]
 impl MemoEntry {
     const EMPTY: MemoEntry = MemoEntry {
         asid: 0,
@@ -125,15 +122,13 @@ impl MemoEntry {
     };
 }
 
-/// The direct-mapped memoization array a `memo-front` cache carries.
-#[cfg(feature = "memo-front")]
+/// The direct-mapped memoization array every molecular cache carries.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoTable {
     slots: Vec<MemoEntry>,
     /// Current generation; entries from older generations are dead.
     generation: u64,
-    /// Runtime toggle (the feature compiles the machinery in; this
-    /// decides whether the access path consults it).
+    /// Runtime toggle: whether the access path consults the table.
     pub(crate) enabled: bool,
     hits: u64,
     misses: u64,
@@ -141,7 +136,6 @@ pub(crate) struct MemoTable {
     generation_bumps: u64,
 }
 
-#[cfg(feature = "memo-front")]
 impl Default for MemoTable {
     fn default() -> Self {
         MemoTable {
@@ -156,7 +150,6 @@ impl Default for MemoTable {
     }
 }
 
-#[cfg(feature = "memo-front")]
 impl MemoTable {
     /// The slot an (ASID, line) key maps to. The prime modulo does the
     /// scattering; folding the ASID in keeps co-resident applications
@@ -258,39 +251,25 @@ impl MolecularCache {
     ///
     /// The toggle exists so one binary can compare memo-on and memo-off
     /// runs (the equivalence suites and `molbench --no-memo` do); it
-    /// flushes the table on any change, and is a no-op without the
-    /// `memo-front` feature.
+    /// flushes the table on any change.
     pub fn set_memo_front(&mut self, enabled: bool) {
-        #[cfg(feature = "memo-front")]
-        {
-            if self.memo.enabled != enabled {
-                self.memo.bump_generation();
-                self.memo.enabled = enabled;
-            }
+        if self.memo.enabled != enabled {
+            self.memo.bump_generation();
+            self.memo.enabled = enabled;
         }
-        #[cfg(not(feature = "memo-front"))]
-        let _ = enabled;
     }
 
-    /// Whether the memoization front-end is compiled in *and* enabled.
+    /// Whether the memoization front-end is enabled.
     pub fn memo_front_enabled(&self) -> bool {
-        #[cfg(feature = "memo-front")]
-        {
-            self.memo.enabled
-        }
-        #[cfg(not(feature = "memo-front"))]
-        false
+        self.memo.enabled
     }
 
-    /// The front-end's lifetime counters, when the `memo-front` feature
-    /// is compiled in; `None` otherwise (callers render a `-`).
+    /// The front-end's lifetime counters. Always `Some`: the memo is
+    /// compiled into every build. The `Option` is kept so existing
+    /// callers that fall back with `map_or`/`unwrap_or_default` keep
+    /// compiling unchanged.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        #[cfg(feature = "memo-front")]
-        {
-            Some(self.memo.stats())
-        }
-        #[cfg(not(feature = "memo-front"))]
-        None
+        Some(self.memo.stats())
     }
 
     /// Whether a memo lookup for (`asid`, `line`) would find a
@@ -298,16 +277,8 @@ impl MolecularCache {
     /// asserts no entry survives a generation bump). Does not verify
     /// residency and perturbs nothing.
     pub fn memo_would_hit(&self, asid: Asid, line: LineAddr) -> bool {
-        #[cfg(feature = "memo-front")]
-        {
-            let e = &self.memo.slots[MemoTable::slot_of(asid, line)];
-            e.generation == self.memo.generation && e.line == line.0 && e.asid == asid.raw()
-        }
-        #[cfg(not(feature = "memo-front"))]
-        {
-            let _ = (asid, line);
-            false
-        }
+        let e = &self.memo.slots[MemoTable::slot_of(asid, line)];
+        e.generation == self.memo.generation && e.line == line.0 && e.asid == asid.raw()
     }
 
     /// Memoizes a home-tile hit for the next access to the same line.
@@ -317,7 +288,6 @@ impl MolecularCache {
     /// this copy being invalidated, which would break first-match
     /// replay. Member copies cannot (the fill stage invalidates
     /// duplicates region-wide), so member hits replay exactly.
-    #[cfg(feature = "memo-front")]
     #[inline]
     pub(crate) fn memo_note_home_hit(&mut self, asid: Asid, line: LineAddr, hit_mol: MoleculeId) {
         if self.memo.enabled && !self.tags.is_shared(hit_mol) {
@@ -327,7 +297,7 @@ impl MolecularCache {
     }
 }
 
-#[cfg(all(test, feature = "memo-front"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -5,10 +5,6 @@
 //! resize / evict / revoke — including across a revoke + re-admit of the
 //! same ASID, where the "same" (asid, line) key suddenly refers to a
 //! brand-new region.
-//!
-//! Compiled to an empty suite without the `memo-front` feature (the CI
-//! feature matrix runs memo-free combos where there is nothing to pin).
-#![cfg(feature = "memo-front")]
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -147,9 +143,9 @@ fn revoke_and_readmit_cannot_replay_stale_hits() {
 fn every_lifecycle_op_bumps_the_generation() {
     let mut c = cache();
     warm_memo(&mut c, 1);
-    let mut generation = c.memo_stats().expect("memo-front on").generation;
+    let mut generation = c.memo_stats().expect("memo is compiled in").generation;
     let mut expect_bump = |c: &MolecularCache, what: &str| {
-        let now = c.memo_stats().expect("memo-front on").generation;
+        let now = c.memo_stats().expect("memo is compiled in").generation;
         assert!(now > generation, "{what} did not bump the memo generation");
         generation = now;
     };

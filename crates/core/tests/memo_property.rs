@@ -3,10 +3,8 @@
 //! per-app statistics with memoization on vs off, and no memo entry
 //! ever survives a generation bump.
 //!
-//! The file compiles under every CI feature combo. Without `memo-front`
-//! the runtime toggle is a no-op, so the equivalence property degrades
-//! to a (still useful) determinism check and the generation property
-//! is compiled out.
+//! The memo is compiled into every build; the on/off pairs use its
+//! runtime toggle, `MolecularCache::set_memo_front`.
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -140,7 +138,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "memo-front")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -5,7 +5,7 @@
 //! shared cache and reports per-application miss rates — the measurement
 //! behind Table 1, Figure 5 and Table 2.
 
-use crate::model::{AccessObserver, CacheModel, Request};
+use crate::model::{AccessObserver, CacheModel, NullObserver, Request};
 use crate::stats::CacheStats;
 use molcache_trace::gen::{BoxedSource, TraceSource};
 use molcache_trace::interleave::Workload;
@@ -58,48 +58,10 @@ impl RunSummary {
     }
 }
 
-/// Requests buffered per [`CacheModel::access_batch`] call by the batched
-/// drivers below. Large enough to amortize per-call dispatch, small
-/// enough that the buffer stays in L1.
-const DRIVE_BATCH: usize = 1024;
-
-/// Pulls accesses from `next` in [`DRIVE_BATCH`]-sized slices and drives
-/// them through `cache.access_batch`, measuring only this window.
-/// Equivalent to a per-access loop (the batch contract guarantees
-/// bit-identical behavior) but with far fewer dispatches.
-fn drive_batched<C, F>(cache: &mut C, limit: u64, mut next: F) -> RunSummary
-where
-    C: CacheModel + ?Sized,
-    F: FnMut() -> Option<MemAccess>,
-{
-    let before = cache.stats().clone();
-    let mut driven = 0u64;
-    let mut buf: Vec<Request> = Vec::with_capacity(DRIVE_BATCH);
-    while driven < limit {
-        buf.clear();
-        let want = usize::try_from(limit - driven)
-            .unwrap_or(usize::MAX)
-            .min(DRIVE_BATCH);
-        while buf.len() < want {
-            match next() {
-                Some(acc) => buf.push(Request::from(acc)),
-                None => break,
-            }
-        }
-        if buf.is_empty() {
-            break;
-        }
-        cache.access_batch(&buf);
-        driven += buf.len() as u64;
-    }
-    RunSummary::from_stats(&cache.stats().since(&before))
-}
-
-/// Per-access variant of [`drive_batched`] that reports every request and
-/// outcome to `obs`. The batch contract guarantees the two drivers
-/// produce bit-identical caches and summaries, so observation never
-/// changes what is measured — it only costs the per-access dispatch the
-/// batched path amortizes away.
+/// Drives up to `limit` accesses pulled from `next` through `cache` one
+/// at a time, reporting every request and outcome to `obs` and measuring
+/// only this window. The unobserved entry points pass a
+/// [`NullObserver`], so observation never changes what is measured.
 fn drive_observed<C, F, O>(cache: &mut C, limit: u64, mut next: F, obs: &mut O) -> RunSummary
 where
     C: CacheModel + ?Sized,
@@ -125,8 +87,7 @@ where
     I: IntoIterator<Item = MemAccess>,
     C: CacheModel + ?Sized,
 {
-    let mut it = accesses.into_iter();
-    drive_batched(cache, limit, || it.next())
+    run_accesses_observed(accesses, cache, limit, &mut NullObserver)
 }
 
 /// Like [`run_accesses`], but reports every access to `obs`.
@@ -146,12 +107,12 @@ where
 }
 
 /// Drives a single application's stream through `cache`.
-pub fn run_source<S, C>(mut source: S, cache: &mut C, limit: u64) -> RunSummary
+pub fn run_source<S, C>(source: S, cache: &mut C, limit: u64) -> RunSummary
 where
     S: TraceSource,
     C: CacheModel + ?Sized,
 {
-    drive_batched(cache, limit, || source.next_access())
+    run_source_observed(source, cache, limit, &mut NullObserver)
 }
 
 /// Like [`run_source`], but reports every access to `obs`.
@@ -183,8 +144,7 @@ pub fn run_shared<C>(
 where
     C: CacheModel + ?Sized,
 {
-    let workload = Workload::new(sources)?;
-    Ok(run_accesses(workload.round_robin(), cache, limit))
+    run_shared_observed(sources, cache, limit, &mut NullObserver)
 }
 
 /// Like [`run_shared`], but reports every access to `obs`.
@@ -264,8 +224,6 @@ mod tests {
 
     #[test]
     fn batched_driver_matches_per_access_loop() {
-        // 2500 is deliberately not a multiple of DRIVE_BATCH, so the last
-        // slice is partial.
         const LIMIT: u64 = 2_500;
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
         let mut batched = SetAssocCache::lru(cfg);

@@ -6,7 +6,7 @@
 //! with LRU, FIFO, Random and tree-PLRU replacement) and for the parts of
 //! **SESC** the paper actually uses (a CMP front end that interleaves the
 //! reference streams of concurrently running applications onto a shared
-//! L2, with optional private L1s).
+//! L2).
 //!
 //! The crate defines the [`CacheModel`] trait that *both* the traditional
 //! caches here and the molecular cache in `molcache-core` implement, so
@@ -33,11 +33,8 @@
 //! ```
 
 pub mod cmp;
-pub mod coherence;
 pub mod config;
 pub mod error;
-pub mod hierarchy;
-pub mod l1;
 pub mod model;
 pub mod partition;
 pub mod replacement;

@@ -197,10 +197,9 @@ pub trait CacheModel {
     /// Services a slice of requests in order.
     ///
     /// Semantically identical to calling [`access`](CacheModel::access)
-    /// once per request and summing the outcomes; implementations may
-    /// override it to amortize per-request dispatch (the molecular cache
-    /// hoists its ASID-gate/region check across runs of same-ASID
-    /// requests) but must keep the results bit-identical to the loop.
+    /// once per request and summing the outcomes. No cache in this
+    /// workspace overrides it; an override must keep the results
+    /// bit-identical to the loop.
     fn access_batch(&mut self, reqs: &[Request]) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         for req in reqs {

@@ -94,35 +94,6 @@ impl SetAssocCache {
         let sets = self.cfg.num_sets();
         ((line % sets) as usize, line / sets)
     }
-
-    fn set_slots(&mut self, set: usize) -> &mut [LineSlot] {
-        let assoc = self.cfg.assoc() as usize;
-        &mut self.lines[set * assoc..(set + 1) * assoc]
-    }
-
-    /// Looks up without modifying replacement state or stats
-    /// (diagnostic / coherence probe).
-    pub fn probe(&self, req: Request) -> bool {
-        let (set, tag) = self.index_and_tag(req.addr);
-        let assoc = self.cfg.assoc() as usize;
-        self.lines[set * assoc..(set + 1) * assoc]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Invalidates a line if present; returns whether it was dirty.
-    pub fn invalidate(&mut self, req: Request) -> Option<bool> {
-        let (set, tag) = self.index_and_tag(req.addr);
-        let slots = self.set_slots(set);
-        for slot in slots.iter_mut() {
-            if slot.valid && slot.tag == tag {
-                let dirty = slot.dirty;
-                *slot = LineSlot::EMPTY;
-                return Some(dirty);
-            }
-        }
-        None
-    }
 }
 
 impl CacheModel for SetAssocCache {
@@ -322,25 +293,6 @@ mod tests {
         assert_eq!(a.accesses, 2);
         assert_eq!(a.ways_probed, 4); // 2 accesses x 2 ways
         assert_eq!(a.line_fills, 1);
-    }
-
-    #[test]
-    fn probe_does_not_disturb() {
-        let mut c = tiny();
-        c.access(read(0));
-        let before = c.stats().clone();
-        assert!(c.probe(read(0)));
-        assert!(!c.probe(read(64)));
-        assert_eq!(*c.stats(), before);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.access(write(0));
-        assert_eq!(c.invalidate(read(0)), Some(true));
-        assert_eq!(c.invalidate(read(0)), None);
-        assert!(!c.access(read(0)).hit);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Cross-crate plumbing: one trace, every cache model, plus the
-//! L1-filter hierarchy and the power accounting on measured activity.
+//! Cross-crate plumbing: one trace, every cache model, plus the power
+//! accounting on measured activity.
 
 use molecular_caches::core::{InitialAllocation, MolecularCache, MolecularConfig};
 use molecular_caches::power::accounting::EnergyMeter;
@@ -7,12 +7,11 @@ use molecular_caches::power::cacti::analyze;
 use molecular_caches::power::calibrate::molecule_report;
 use molecular_caches::power::tech::TechNode;
 use molecular_caches::sim::cmp::{run_accesses, run_source};
-use molecular_caches::sim::hierarchy::run_with_private_l1s;
 use molecular_caches::sim::partition::{ColumnCache, ModifiedLruCache};
-use molecular_caches::sim::{CacheConfig, CacheModel, Request, SetAssocCache};
-use molecular_caches::trace::gen::{BoxedSource, TraceSource};
+use molecular_caches::sim::{CacheConfig, CacheModel, SetAssocCache};
+use molecular_caches::trace::gen::TraceSource;
 use molecular_caches::trace::presets::Benchmark;
-use molecular_caches::trace::{Address, Asid};
+use molecular_caches::trace::Asid;
 
 fn recorded_trace(n: usize) -> Vec<molecular_caches::trace::MemAccess> {
     let mut src = Benchmark::Parser.source(Asid::new(1), 13);
@@ -72,76 +71,6 @@ fn same_trace_through_every_model() {
         max < min * 6.0 + 0.05,
         "models diverge too much on one trace: {rates:?}"
     );
-}
-
-#[test]
-fn l1_filter_reduces_l2_pressure_for_all_models() {
-    let mk_sources = || -> Vec<BoxedSource> {
-        vec![
-            Benchmark::Twolf.source(Asid::new(1), 13),
-            Benchmark::Crafty.source(Asid::new(2), 13),
-        ]
-    };
-    let mut l2 = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
-    let filtered = run_with_private_l1s(mk_sources(), None, &mut l2, 50_000).unwrap();
-    // The L1-filtered L2 stream is mostly misses-of-L1, so the L2's own
-    // miss rate is much higher than for the raw stream.
-    let mut raw_l2 = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
-    let raw = molecular_caches::sim::cmp::run_shared(mk_sources(), &mut raw_l2, 50_000).unwrap();
-    assert!(
-        filtered.global.miss_rate() > raw.global.miss_rate(),
-        "L1 filtering must concentrate misses: filtered {:.3} raw {:.3}",
-        filtered.global.miss_rate(),
-        raw.global.miss_rate()
-    );
-}
-
-#[test]
-fn coherence_directory_keeps_private_l1s_consistent() {
-    use molecular_caches::sim::coherence::{CoherenceAction, CoreId, Directory, LineState};
-    use molecular_caches::trace::AccessKind;
-
-    // Two cores with private L1s sharing one line; the directory tells us
-    // which copies to invalidate/downgrade, and applying those actions
-    // keeps the L1 contents consistent with the directory's state.
-    let l1_cfg = CacheConfig::new(16 << 10, 4, 64).unwrap();
-    let mut l1 = [SetAssocCache::lru(l1_cfg), SetAssocCache::lru(l1_cfg)];
-    let mut dir = Directory::new(64);
-    let addr = Address::new(0x4_0000);
-    let req = |kind| Request {
-        asid: Asid::new(1),
-        addr,
-        kind,
-    };
-
-    let drive =
-        |core: usize, kind: AccessKind, l1: &mut [SetAssocCache; 2], dir: &mut Directory| {
-            let actions = dir.on_access(CoreId(core as u16), addr, kind, Asid::new(1));
-            for action in actions {
-                match action {
-                    CoherenceAction::Invalidate(CoreId(c)) => {
-                        l1[c as usize].invalidate(req(AccessKind::Read));
-                    }
-                    CoherenceAction::Downgrade(_) => {
-                        // Data written back; the copy stays readable.
-                    }
-                }
-            }
-            l1[core].access(req(kind));
-        };
-
-    drive(0, AccessKind::Read, &mut l1, &mut dir);
-    drive(1, AccessKind::Read, &mut l1, &mut dir);
-    assert!(l1[0].probe(req(AccessKind::Read)));
-    assert!(l1[1].probe(req(AccessKind::Read)));
-
-    // Core 1 writes: core 0's copy must be invalidated.
-    drive(1, AccessKind::Write, &mut l1, &mut dir);
-    assert!(!l1[0].probe(req(AccessKind::Read)), "stale copy survived");
-    assert!(l1[1].probe(req(AccessKind::Read)));
-    assert_eq!(dir.state(CoreId(1), addr), LineState::Modified);
-    assert_eq!(dir.state(CoreId(0), addr), LineState::Invalid);
-    assert!(dir.invalidations() >= 1);
 }
 
 #[test]
